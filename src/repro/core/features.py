@@ -19,7 +19,13 @@ from repro.datasets.base import TimestepField
 from repro.grid import UniformGrid, field_gradients
 from repro.sampling.base import SampledField
 
-__all__ = ["FeatureExtractor", "TIE_BREAK_PAD", "canonical_neighbors"]
+__all__ = [
+    "FeatureExtractor",
+    "TIE_BREAK_PAD",
+    "canonical_neighbors",
+    "nearest_samples",
+    "sample_tree",
+]
 
 #: Extra kd-tree candidates fetched per query so rank-k distance ties
 #: resolve canonically (see :func:`canonical_neighbors`).
@@ -48,6 +54,42 @@ def canonical_neighbors(dist: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray
     perm = np.lexsort((idx.ravel(), dist.ravel(), rows)).reshape(n, kq)
     perm -= np.arange(n)[:, None] * kq
     return np.take_along_axis(idx, perm[:, :k], axis=1)
+
+
+def sample_tree(points: np.ndarray) -> cKDTree:
+    """The kd-tree over sample positions that :func:`nearest_samples` queries."""
+    return cKDTree(points)
+
+
+def nearest_samples(
+    tree: cKDTree,
+    query_points: np.ndarray,
+    num_neighbors: int,
+    *,
+    workers: int = -1,
+    canonical: bool = True,
+) -> np.ndarray:
+    """``(Q, num_neighbors)`` indices of each query's nearest samples in ``tree``.
+
+    The one neighbor-selection query of the prediction path: the feature
+    extractor and the campaign sinks' per-chunk slabs both call it, so a
+    change to the tie-break changes every path at once.  ``canonical``
+    fetches ``k + TIE_BREAK_PAD`` candidates and keeps the first ``k`` by
+    ``(distance, index)`` (:func:`canonical_neighbors`); otherwise the
+    kd-tree's own ``k`` are kept in its tie order.  When the tree holds
+    fewer than ``num_neighbors`` samples the farthest one is repeated.
+    """
+    k = min(num_neighbors, tree.n)
+    kq = min(k + TIE_BREAK_PAD, tree.n) if canonical else k
+    dist, idx = tree.query(query_points, k=kq, workers=workers)
+    if kq == 1:
+        dist, idx = dist[:, None], idx[:, None]
+    if canonical:
+        idx = canonical_neighbors(dist, idx, k)
+    if k < num_neighbors:
+        pad = np.repeat(idx[:, -1:], num_neighbors - k, axis=1)
+        idx = np.concatenate([idx, pad], axis=1)
+    return idx
 
 
 class FeatureExtractor:
@@ -94,9 +136,9 @@ class FeatureExtractor:
     def _tree(self, sample: SampledField) -> cKDTree:
         """The sample's kd-tree, cached per sample object when enabled."""
         if not self.cache_geometry:
-            return cKDTree(sample.points)
+            return sample_tree(sample.points)
         if self._cached_sample is not sample:
-            self._cached_tree = cKDTree(sample.points)
+            self._cached_tree = sample_tree(sample.points)
             self._cached_sample = sample
         return self._cached_tree
 
@@ -167,14 +209,13 @@ class FeatureExtractor:
         once per geometry instead of once per call.
         """
         if not canonical:
-            k = min(self.num_neighbors, sample.num_samples)
-            _, idx = self._tree(sample).query(query_points, k=k, workers=self.workers)
-            if k == 1:
-                idx = idx[:, None]
-            if k < self.num_neighbors:
-                pad = np.repeat(idx[:, -1:], self.num_neighbors - k, axis=1)
-                idx = np.concatenate([idx, pad], axis=1)
-            return idx
+            return nearest_samples(
+                self._tree(sample),
+                query_points,
+                self.num_neighbors,
+                workers=self.workers,
+                canonical=False,
+            )
         if (
             self.cache_geometry
             and sample is self._cached_sample
@@ -183,16 +224,9 @@ class FeatureExtractor:
             and self._cached_idx.shape[1] == self.num_neighbors
         ):
             return self._cached_idx
-        k = min(self.num_neighbors, sample.num_samples)
-        kq = min(k + TIE_BREAK_PAD, sample.num_samples)
-        dist, idx = self._tree(sample).query(query_points, k=kq, workers=self.workers)
-        if kq == 1:
-            dist, idx = dist[:, None], idx[:, None]
-        idx = canonical_neighbors(dist, idx, k)
-        if k < self.num_neighbors:
-            # Degenerate sample smaller than k: repeat the farthest neighbor.
-            pad = np.repeat(idx[:, -1:], self.num_neighbors - k, axis=1)
-            idx = np.concatenate([idx, pad], axis=1)
+        idx = nearest_samples(
+            self._tree(sample), query_points, self.num_neighbors, workers=self.workers
+        )
         if self.cache_geometry:
             # _tree() above has already re-pointed _cached_sample at `sample`.
             self._cached_query = query_points

@@ -24,6 +24,7 @@ from repro.perf.campaign import (
     CampaignScheduler,
     CampaignStats,
     GeometryCache,
+    count_block_timesteps,
     make_reconstruction_sink,
 )
 from repro.perf.weights import restore_weights, snapshot_weights
@@ -378,29 +379,21 @@ class ReconstructionPipeline:
             self.sample(field0, fraction), dtype=reconstructor.dtype_policy.compute
         )
         shard_plan = None
+        bound = geometry
         if shard_counts is not None:
-            from repro.shard import ShardPlan, ShardedCampaignGeometry, make_shard_sink
+            from repro.shard import ShardPlan, ShardedCampaignGeometry
 
             shard_plan = ShardPlan.create(geometry.grid, shard_counts, halo)
-            sharded = ShardedCampaignGeometry(shard_plan, geometry)
-            sink = make_shard_sink(
-                sharded,
-                {"fcnn": reconstructor},
-                max_workers=max_workers,
-                num_chunks=num_chunks,
-                slots=depth + 1,
-                scope=shard_scope,
-                warm_pool=warm_pool,
-            )
-        else:
-            sink = make_reconstruction_sink(
-                geometry,
-                {"fcnn": reconstructor},
-                max_workers=max_workers,
-                num_chunks=num_chunks,
-                slots=depth + 1,
-                warm_pool=warm_pool,
-            )
+            bound = ShardedCampaignGeometry(shard_plan, geometry)
+        sink = make_reconstruction_sink(
+            bound,
+            {"fcnn": reconstructor},
+            max_workers=max_workers,
+            num_chunks=num_chunks,
+            slots=depth + 1,
+            scope=shard_scope,
+            warm_pool=warm_pool,
+        )
         train_shell = geometry.shell()
         # Sharded runs stamp the shard coordinate system onto per-timestep
         # journal records (the header already pins counts + halo).
@@ -653,15 +646,17 @@ class ReconstructionPipeline:
                 sup.stop()
             if own_wal and wal is not None:
                 wal.close()
+        stats = scheduler.stats
         if batched_finetune:
             emitted = [pair for block in emitted for pair in block]
+            stats = count_block_timesteps(stats, blocks)
         rows = skipped_rows + [row for row, _ in emitted]
         volumes = None
         if self.keep_reconstructions:
             volumes = [None] * len(skipped_rows) + [vol for _, vol in emitted]
         return CampaignResult(
             rows=rows,
-            stats=scheduler.stats,
+            stats=stats,
             reconstructions=volumes,
             quarantined=tuple(sup.quarantined) if sup is not None else (),
             resumed=len(skipped_rows),

@@ -32,7 +32,7 @@ from repro.core.reconstructor import FCNNReconstructor
 from repro.datasets.base import AnalyticDataset
 from repro.grid import UniformGrid
 from repro.obs import counter as obs_counter, record_event, span
-from repro.perf.campaign import CampaignScheduler
+from repro.perf.campaign import CampaignScheduler, count_block_timesteps
 from repro.perf.weights import restore_weights, snapshot_weights
 from repro.resilience.journal import CampaignJournal, content_hash
 from repro.resilience.supervise import CampaignInterrupted
@@ -531,6 +531,8 @@ class InSituWriter:
                 )
                 wal.close()
             raise exc
+        if self.batched_finetune:
+            count_block_timesteps(scheduler.stats, blocks)
         self._write_index(directory, manifest)
         if wal is not None:
             wal.close()
@@ -639,9 +641,9 @@ class CampaignReader:
         return method.reconstruct(sample)
 
     def _reconstruct_sharded(self, sample: SampledField, key: str) -> np.ndarray:
-        """Stitch one sharded timestep through the local shard sink."""
-        from repro.perf.campaign import CampaignGeometry
-        from repro.shard import LocalShardSink, ShardedCampaignGeometry
+        """Stitch one sharded timestep through the in-process campaign sink."""
+        from repro.perf.campaign import CampaignGeometry, LocalReconstructionSink
+        from repro.shard import ShardedCampaignGeometry
 
         plan = self.shard_plan
         model = FCNNReconstructor.load(self.directory / self.manifest.base_model_file)
@@ -653,7 +655,7 @@ class CampaignReader:
             self.manifest.grid, sample.indices, self.manifest.fraction
         )
         sharded = ShardedCampaignGeometry(plan, geometry)
-        with LocalShardSink(slots=1, scope="local") as sink:
+        with LocalReconstructionSink(slots=1, scope="local") as sink:
             sink.bind(sharded, {"fcnn": model})
             slot = sink.publish(int(key), sample.values, {"fcnn": np.stack(flats)})
             volume, _report = sink.reconstruct(slot, "fcnn")

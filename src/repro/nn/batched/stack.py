@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import _DETERMINISTIC_N, Dense, Identity, ReLU
+from repro.nn.layers import _DETERMINISTIC_N, Dense, Identity, ReLU, _inference_matmul
 from repro.nn.network import Sequential
 
 __all__ = ["StackedParameter", "StackedDense", "StackedReLU", "StackedIdentity", "ModelStack"]
@@ -115,7 +115,9 @@ class StackedDense(StackedLayer):
         # head is tiny, so the member loop costs nothing, and each slice
         # is literally the serial op.  Training keeps the batched BLAS
         # path, whose numerics the serial Trainer mirrors.
+        # Wider layers take the serial path's one-row rule the same way.
         skinny = not self.training and self.out_features < _DETERMINISTIC_N
+        matmul = np.matmul if self.training else _inference_matmul
         if ws is None:
             if skinny:
                 out = np.empty(
@@ -128,7 +130,7 @@ class StackedDense(StackedLayer):
                     )
                 out += self.bias.value[:, None, :]
                 return out
-            return np.matmul(x, self.weight.value) + self.bias.value[:, None, :]
+            return matmul(x, self.weight.value) + self.bias.value[:, None, :]
         # Fast lane: one fused matmul over the stack, then the bias add —
         # per member the exact op sequence of the serial Dense fast path.
         out = ws.buffer((self._ws_tag, "fwd"), (self.k, x.shape[1], self.out_features))
@@ -139,7 +141,7 @@ class StackedDense(StackedLayer):
                     out=out[member],
                 )
         else:
-            np.matmul(x, self.weight.value, out=out)
+            matmul(x, self.weight.value, out=out)
         out += self.bias.value[:, None, :]
         return out
 

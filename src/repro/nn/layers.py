@@ -32,9 +32,29 @@ __all__ = ["Layer", "Dense", "ReLU", "Tanh", "Sigmoid", "Identity", "LayerNorm"]
 #: ``optimize``) sums k sequentially per output element regardless of M,
 #: making predictions a pure per-row function — the property the
 #: shard-parallel campaign's bit-identity rests on.  Hidden-width gemms
-#: (>= 8 columns) go through the standard blocked kernels, whose
-#: M-partitioning does not reorder the per-row k loop.
+#: (>= 8 even columns) go through the standard blocked kernels, whose
+#: M-partitioning does not reorder the per-row k loop — for two or more
+#: rows.  A one-row block dispatches to gemv, which accumulates in another
+#: order, so inference runs it through _inference_matmul.
 _DETERMINISTIC_N = 8
+
+
+def _inference_matmul(x: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.matmul(x, w)`` with a one-row block computed as a two-row gemm.
+
+    A one-row operand dispatches to gemv, which accumulates in another
+    order than the gemm every larger block takes (see _DETERMINISTIC_N);
+    repeating the row and keeping the first keeps inference a per-row
+    function.  Works on 2-D and stacked ``(K, rows, n)`` operands alike,
+    so the serial and stacked Dense layers share the rule.
+    """
+    if x.shape[-2] != 1:
+        return np.matmul(x, w, out=out)
+    rows = np.matmul(np.repeat(x, 2, axis=-2), w)[..., :1, :]
+    if out is None:
+        return rows
+    out[...] = rows
+    return out
 
 
 class Layer:
@@ -124,18 +144,19 @@ class Dense(Layer):
         # the BLAS path: batch shapes are fixed there, and the batched
         # multi-model engine mirrors its exact numerics.
         skinny = not self.training and self.out_features < _DETERMINISTIC_N
+        matmul = np.matmul if self.training else _inference_matmul
         if ws is None:
             if skinny:
                 out = np.einsum("mk,kn->mn", x, self.weight.value)
                 out += self.bias.value
                 return out
-            return x @ self.weight.value + self.bias.value
+            return matmul(x, self.weight.value) + self.bias.value
         # Fast lane: same ops (matmul, then the bias add), arena-owned output.
         out = ws.buffer((self._ws_tag, "fwd"), (x.shape[0], self.out_features))
         if skinny:
             np.einsum("mk,kn->mn", x, self.weight.value, out=out)
         else:
-            np.matmul(x, self.weight.value, out=out)
+            matmul(x, self.weight.value, out=out)
         out += self.bias.value
         return out
 

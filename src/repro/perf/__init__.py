@@ -21,9 +21,13 @@ Independent pieces, all opt-in and all preserving the engine's numerics
   weight deltas (:func:`snapshot_weights`, :func:`weight_delta`, ...).
 * :mod:`repro.perf.campaign` — the streaming campaign scheduler:
   :class:`CampaignScheduler` pipelines sample -> fine-tune -> reconstruct
-  across timesteps, :class:`WarmReconstructionPool` keeps reconstruction
-  workers warm behind one shared-memory slot ring, and
-  :class:`GeometryCache` shares void geometry across timesteps.
+  across timesteps, and :class:`GeometryCache` shares void geometry
+  across timesteps.  Reconstruction has one sink implementation:
+  :class:`LocalReconstructionSink` in-process, or
+  :class:`WarmReconstructionPool` with warm workers behind one
+  shared-memory slot ring, both reconstructing a
+  :class:`~repro.shard.ShardedCampaignGeometry` shard by shard (an
+  unsharded campaign is the 1x1x1 plan).
   (Imported lazily: :mod:`repro.core` imports this package, and the
   campaign module imports :mod:`repro.core` back.)
 

@@ -14,17 +14,18 @@ This module overlaps the stages and keeps everything warm:
   to timestep — so results are **bit-identical** to the serial schedule;
   only side-effect-free work (I/O, sampling, reconstruction of already
   published weights) overlaps.
-* :class:`WarmReconstructionPool` — persistent reconstruction workers fed
-  through one shared-memory slot ring.  Grid geometry and base model
+* :class:`LocalReconstructionSink` / :class:`WarmReconstructionPool` —
+  the one reconstruction sink, in-process or on persistent workers fed
+  through one shared-memory slot ring.  It reconstructs shard by shard
+  over a :class:`~repro.shard.ShardedCampaignGeometry`; an unsharded
+  campaign is the 1x1x1 plan with halo 0.  Grid geometry and base model
   weights ship **once per campaign** (counter
   ``campaign.shm_bundles_created``); each fine-tuned timestep afterwards
   publishes only a bitwise XOR weight delta (:mod:`repro.perf.weights`)
-  and the refreshed sample values.  Workers cache the kd-tree, neighbor
-  indices and rebuilt models across timesteps.
-* :class:`LocalReconstructionSink` — the same publish/reconstruct
-  protocol executed in-process; the degradation target when shared memory
-  is unavailable and the reference implementation the pool is tested
-  bit-identical against.
+  and the refreshed sample values.  Workers cache per-shard kd-trees,
+  neighbor indices and rebuilt models across timesteps; the in-process
+  sink runs the same compute and is the pool's bit-identical reference
+  and its fallback when shared memory is unavailable.
 * :class:`CampaignGeometry` / :class:`GeometryCache` — sampled-location
   geometry (void indices/points, sample positions, content hash) computed
   once and shared by every stage and worker via lightweight
@@ -40,6 +41,7 @@ replicated with the serial path's tree and counters.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import threading
 import time
@@ -67,17 +69,16 @@ __all__ = [
     "GeometryCache",
     "CampaignScheduler",
     "CampaignStats",
+    "count_block_timesteps",
     "WarmReconstructionPool",
     "LocalReconstructionSink",
     "make_reconstruction_sink",
     "geometry_key",
+    "SHARD_SCOPES",
 ]
 
 #: Poll period for stop-aware blocking queue/semaphore operations.
 _POLL_SECONDS = 0.05
-
-#: Per-process cap on cached worker states (bundle attachments + models).
-_WORKER_STATE_MAX = 4
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +268,19 @@ class CampaignStats:
             "emit": self.emit_seconds,
         }[stage]
         return busy / self.wall_seconds if self.wall_seconds > 0 else 0.0
+
+
+def count_block_timesteps(stats: CampaignStats, blocks) -> CampaignStats:
+    """Recount a block schedule's stats in timesteps.
+
+    Batched campaigns drive the scheduler with one item per block of
+    timesteps, so its ``stats.timesteps`` and ``campaign.timesteps``
+    counter count blocks; this tops the counter up by the timesteps the
+    blocks held beyond one each and returns stats that count timesteps.
+    """
+    timesteps = sum(len(block) for block in blocks)
+    obs_counter("campaign.timesteps").inc(timesteps - stats.timesteps)
+    return dataclasses.replace(stats, timesteps=timesteps)
 
 
 class _Stop(Exception):
@@ -544,6 +558,23 @@ def _drain(q: Queue) -> None:
 
 # --------------------------------------------------------------------------
 # reconstruction sinks
+#
+# One implementation serves every campaign.  A sink is bound to a
+# :class:`~repro.shard.ShardedCampaignGeometry`; a plain
+# :class:`CampaignGeometry` is bound as a 1x1x1 shard plan with halo 0,
+# whose one shard sees every sample and owns every void in global order.
+# Each task reconstructs one chunk of one shard's owned voids from the
+# samples inside that shard's halo-extended box.
+
+#: Fine-tune scopes a sink understands.  ``"global"``: one model per
+#: timestep reconstructs every shard (bit-identical to unsharded when the
+#: halo holds the kNN stencil).  ``"local"``: one model per (timestep,
+#: shard), trained on the shard's own extended box with a shard-local
+#: normalizer (SNR parity, not bit-identity, with unsharded).
+SHARD_SCOPES = ("global", "local")
+
+#: Per-process cap on cached worker states (bundle attachments + models).
+_SINK_STATE_MAX = 4
 
 
 def _predict_block(reconstructor) -> int:
@@ -551,10 +582,13 @@ def _predict_block(reconstructor) -> int:
     return max(reconstructor.batch_size, 16384)
 
 
-# The aligned chunking contract lives in repro.parallel.chunking now (the
-# shard decomposer shares it); the private name stays importable for its
-# long-standing users.
-_aligned_chunks = aligned_chunks
+def _as_sharded(geometry):
+    """``geometry`` as a :class:`~repro.shard.ShardedCampaignGeometry`."""
+    from repro.shard import ShardedCampaignGeometry, ShardPlan
+
+    if isinstance(geometry, ShardedCampaignGeometry):
+        return geometry
+    return ShardedCampaignGeometry(ShardPlan.create(geometry.grid, (1, 1, 1), 0), geometry)
 
 
 def _nonfinite_fallback(
@@ -568,7 +602,7 @@ def _nonfinite_fallback(
 
     Same tree (built over the same sample positions), same counters
     (``reconstruct.fcnn.fallback``) and the same ``degraded`` event as
-    :meth:`FCNNReconstructor._healthy_predictions`, so a pipelined campaign
+    :meth:`FCNNReconstructor._healthy_predictions`, so a campaign sink
     degrades bit-identically to — and is as observable as — a serial one.
     """
     bad = ~np.isfinite(pred)
@@ -591,143 +625,105 @@ def _nonfinite_fallback(
     return pred
 
 
+def _layout(sharded, models: dict, slots: int, scope: str) -> tuple[dict, dict, dict]:
+    """The arrays, static worker init block and base weights of one bind.
+
+    ========================  ===================================================
+    ``indices``               ``(M,)`` sampled flat indices
+    ``values``                ``(slots, M)`` per-slot sample values
+    ``weights_base``          ``(T, W)`` base flat weights per tag
+    ``weights_delta``         ``(slots, T, S, W)`` per-shard XOR deltas
+    ``out``                   ``(slots, T, K)`` void predictions, grouped by shard
+    ``sample_order``          each shard's visible samples, concatenated
+    ``void_order``            the stitching permutation (partition of unity)
+    ========================  ===================================================
+    """
+    tags = tuple(models)
+    if not tags:
+        raise ValueError("bind needs at least one tagged model")
+    geometry = sharded.geometry
+    metas, base = {}, {}
+    for tag, model in models.items():
+        network, normalizer = model._require_trained()
+        flat = snapshot_weights(network).data
+        base[tag] = np.array(flat, dtype=np.float64, copy=True)
+        metas[tag] = {
+            "ctor": {
+                "hidden_layers": model.hidden_layers,
+                "num_neighbors": model.extractor.num_neighbors,
+                "include_gradients": model.extractor.include_gradients,
+                "learning_rate": model.learning_rate,
+                "batch_size": model.batch_size,
+                "gradient_loss_weight": model.gradient_loss_weight,
+                "seed": model.seed,
+                "fast_path": model.fast_path,
+                "dtype_policy": model.dtype_policy.compute,
+            },
+            "spec": network.spec(),
+            "normalizer": normalizer.as_dict(),
+            "num_weights": int(flat.size),
+        }
+    width = max(meta["num_weights"] for meta in metas.values())
+    weights_base = np.zeros((len(tags), width), dtype=np.float64)
+    for ti, tag in enumerate(tags):
+        weights_base[ti, : base[tag].size] = base[tag]
+    arrays = {
+        "indices": geometry.indices,
+        "values": np.zeros((slots, geometry.num_samples), dtype=np.float64),
+        "weights_base": weights_base,
+        "weights_delta": np.zeros(
+            (slots, len(tags), sharded.num_shards, width), dtype=np.uint64
+        ),
+        "out": np.zeros((slots, len(tags), geometry.num_voids), dtype=np.float64),
+        "sample_order": np.asarray(sharded.sample_order, dtype=np.int64),
+        "void_order": np.asarray(sharded.void_order, dtype=np.int64),
+    }
+    init = {
+        "grid": geometry.grid,
+        "fraction": geometry.fraction,
+        "counts": sharded.plan.counts,
+        "halo": sharded.plan.halo,
+        "scope": scope,
+        "tags": tags,
+        "models": metas,
+        "sample_offsets": tuple(int(v) for v in sharded.sample_offsets),
+        "void_offsets": tuple(int(v) for v in sharded.void_offsets),
+    }
+    return arrays, init, base
+
+
 class LocalReconstructionSink:
     """In-process publish/reconstruct sink — the pool's serial twin.
 
-    Implements the same protocol as :class:`WarmReconstructionPool`
-    (:meth:`bind` once, then :meth:`publish` a timestep's values + weight
-    vectors and :meth:`reconstruct` it later) without processes or shared
-    memory: published state is copied into a local slot ring and
-    reconstruction runs on per-tag model clones through the ordinary
-    :meth:`FCNNReconstructor.reconstruct` path.  It is the reference the
-    pool is verified bit-identical against, and the automatic fallback
-    when shared memory is unavailable.
+    Protocol: :meth:`bind` a campaign geometry and tagged trained models
+    once, then per timestep :meth:`publish` the sample values and flat
+    weights into a slot of a ring and :meth:`reconstruct` it later.
+    ``bind`` takes a :class:`CampaignGeometry` (one 1x1x1 shard, halo 0)
+    or a :class:`~repro.shard.ShardedCampaignGeometry`; ``scope`` is one
+    of :data:`SHARD_SCOPES`.  Only XOR weight deltas against the bound
+    base weights are stored per slot.
+
+    Every chunk runs the same worker compute (:class:`_SinkState`) as
+    :class:`WarmReconstructionPool`, one chunk per shard, in this process:
+    the sink is the pool's bit-identical reference and the fallback when
+    shared memory is unavailable.  Slot discipline: a slot's contents stay
+    valid until ``slots`` further publishes.
     """
 
-    def __init__(self, slots: int = 2) -> None:
+    def __init__(self, slots: int = 2, scope: str = "global") -> None:
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
+        if scope not in SHARD_SCOPES:
+            raise ValueError(f"scope must be one of {SHARD_SCOPES}, got {scope!r}")
         self.slots = int(slots)
+        self.scope = scope
         self.geometry: CampaignGeometry | None = None
-        self._models: dict = {}
-        self._values: np.ndarray | None = None
-        self._flats: list[dict[str, np.ndarray]] = []
-        self._timesteps: list[int | None] = []
-        self._shells: dict = {}
-        self._seq = 0
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return tuple(self._models)
-
-    def bind(self, geometry: CampaignGeometry, models: dict) -> None:
-        """Install the campaign geometry and clone each tagged model once."""
-        self.geometry = geometry
-        self._models = {tag: model.clone() for tag, model in models.items()}
-        self._values = np.zeros((self.slots, geometry.num_samples), dtype=np.float64)
-        self._flats = [{} for _ in range(self.slots)]
-        self._timesteps = [None] * self.slots
-        self._shells = {tag: geometry.shell() for tag in self._models}
-        self._seq = 0
-
-    def publish(self, timestep: int, values: np.ndarray, weights: dict) -> int:
-        """Copy one timestep's sample values + per-tag flat weights into a slot."""
-        if self.geometry is None:
-            raise RuntimeError("sink is not bound; call bind() first")
-        if set(weights) != set(self._models):
-            raise ValueError(
-                f"publish needs weights for every bound tag {sorted(self._models)}, "
-                f"got {sorted(weights)}"
-            )
-        slot = self._seq % self.slots
-        self._seq += 1
-        self._values[slot][...] = values
-        self._flats[slot] = {
-            tag: np.array(flat, dtype=np.float64, copy=True) for tag, flat in weights.items()
-        }
-        self._timesteps[slot] = int(timestep)
-        return slot
-
-    def reconstruct(
-        self, slot: int, tag: str, on_nonfinite: str = "fallback"
-    ) -> tuple[np.ndarray, ReconstructionReport]:
-        """Reconstruct the full field for one published slot and model tag."""
-        model = self._models[tag]
-        restore_weights(model.model, self._flats[slot][tag])
-        shell = self._shells[tag]
-        shell.values[...] = self._values[slot]
-        return model.reconstruct(shell, on_nonfinite=on_nonfinite, return_report=True)
-
-    def close(self) -> None:
-        self._models = {}
-        self._shells = {}
-        self.geometry = None
-
-    def __enter__(self) -> "LocalReconstructionSink":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-
-class WarmReconstructionPool:
-    """Persistent worker pool reconstructing campaign timesteps via shared memory.
-
-    One :class:`~repro.perf.shm.SharedArrayBundle` per campaign carries
-
-    ========================  =====================================================
-    ``indices``               ``(M,)`` sampled flat indices — shipped once
-    ``values``                ``(slots, M)`` per-slot sample values
-    ``weights_base``          ``(T, W)`` base flat weights per tag — shipped once
-    ``weights_delta``         ``(slots, T, W)`` XOR deltas against the base
-    ``out``                   ``(slots, T, K)`` per-slot void predictions
-    ========================  =====================================================
-
-    so after :meth:`bind` no task payload ever contains an array — workers
-    receive ``(campaign id, epoch, slot, tag, chunk bounds)`` plus a small
-    static init block, attach the segments once, and keep the rebuilt
-    models, kd-tree and per-chunk neighbor indices warm in module state
-    across every timestep (counter ``campaign.shm_bundles_created`` proves
-    geometry + weights ship at most once per campaign).
-
-    The executor is a ``persistent=True``
-    :class:`~repro.parallel.ParallelExecutor`: crashed workers get the
-    PR 2 recovery semantics (BrokenProcessPool -> serial in-process
-    re-run of the unresolved chunks, then pool recycle), so a killed
-    worker degrades a timestep gracefully instead of dropping it.
-
-    Slot discipline: :meth:`publish` assigns slots round-robin; a slot's
-    contents stay valid until ``slots`` further publishes.  Drive the pool
-    from a :class:`CampaignScheduler` with ``depth <= slots - 1``.
-    """
-
-    def __init__(
-        self,
-        executor: ParallelExecutor | None = None,
-        max_workers: int | None = None,
-        num_chunks: int | None = None,
-        slots: int = 2,
-        worker_fn=None,
-    ) -> None:
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        self.slots = int(slots)
-        self._owns_executor = executor is None
-        self.executor = executor if executor is not None else ParallelExecutor(
-            max_workers=max_workers, retries=1, persistent=True
-        )
-        self.num_chunks = num_chunks
-        #: Task function run in workers; overridable for fault injection.
-        self.worker_fn = worker_fn if worker_fn is not None else _campaign_worker
-        self.campaign_id = uuid.uuid4().hex
-        self.epoch = -1
-        self.geometry: CampaignGeometry | None = None
-        self._bundle: SharedArrayBundle | None = None
+        self.sharded = None
+        self._arrays: dict[str, np.ndarray] = {}
+        self._state: _SinkState | None = None
         self._tags: tuple[str, ...] = ()
         self._base: dict[str, np.ndarray] = {}
-        self._chunks: dict[str, list[tuple[int, int]]] = {}
-        self._init: dict = {}
+        self._chunks: dict[str, list[dict]] = {}
         self._timesteps: list[int | None] = []
         self._seq = 0
 
@@ -736,86 +732,59 @@ class WarmReconstructionPool:
         return self._tags
 
     # ----------------------------------------------------------------- bind
-    def bind(self, geometry: CampaignGeometry, models: dict) -> None:
-        """Ship geometry + base weights to shared memory (once per campaign).
-
-        ``models`` maps tag -> trained :class:`FCNNReconstructor`.  Raises
-        ``OSError`` when shared memory is unavailable — callers degrade to
-        :class:`LocalReconstructionSink` (see
-        :func:`make_reconstruction_sink`).
-        """
+    def bind(self, geometry, models: dict) -> None:
+        """Install the campaign geometry and each tagged model's base weights."""
         self.unbind()
-        tags = tuple(models)
-        if not tags:
-            raise ValueError("bind needs at least one tagged model")
-        metas = {}
-        base = {}
-        for tag, model in models.items():
-            network, normalizer = model._require_trained()
-            flat = snapshot_weights(network).data
-            base[tag] = np.array(flat, dtype=np.float64, copy=True)
-            metas[tag] = {
-                "ctor": {
-                    "hidden_layers": model.hidden_layers,
-                    "num_neighbors": model.extractor.num_neighbors,
-                    "include_gradients": model.extractor.include_gradients,
-                    "learning_rate": model.learning_rate,
-                    "batch_size": model.batch_size,
-                    "gradient_loss_weight": model.gradient_loss_weight,
-                    "seed": model.seed,
-                    "fast_path": model.fast_path,
-                    "dtype_policy": model.dtype_policy.compute,
-                },
-                "spec": network.spec(),
-                "normalizer": normalizer.as_dict(),
-                "num_weights": int(flat.size),
-            }
-            self._chunks[tag] = _aligned_chunks(
-                geometry.num_voids, self._target_chunks(), _predict_block(model)
+        sharded = _as_sharded(geometry)
+        arrays, init, base = _layout(sharded, models, self.slots, self.scope)
+        self._arrays = self._install(arrays, init)
+        chunks_per_shard = self._chunks_per_shard(sharded.num_shards)
+        self._chunks = {
+            tag: [
+                {"shard": s, "start": start, "stop": stop}
+                for s, sg in enumerate(sharded.shards)
+                for start, stop in aligned_chunks(
+                    sg.num_voids, chunks_per_shard, _predict_block(model)
+                )
+            ]
+            for tag, model in models.items()
+        }
+        if sharded is geometry:
+            record_event(
+                "campaign.shard.bound",
+                shards=sharded.num_shards,
+                counts=list(sharded.plan.counts),
+                halo=sharded.plan.halo,
+                scope=self.scope,
+                halo_samples=int(sum(sharded.halo_imports())),
             )
-        width = max(meta["num_weights"] for meta in metas.values())
-        base_matrix = np.zeros((len(tags), width), dtype=np.float64)
-        for ti, tag in enumerate(tags):
-            base_matrix[ti, : base[tag].size] = base[tag]
-        self._bundle = SharedArrayBundle.create(
-            {
-                "indices": geometry.indices,
-                "values": np.zeros((self.slots, geometry.num_samples), dtype=np.float64),
-                "weights_base": base_matrix,
-                "weights_delta": np.zeros((self.slots, len(tags), width), dtype=np.uint64),
-                "out": np.zeros((self.slots, len(tags), geometry.num_voids), dtype=np.float64),
-            }
-        )
-        obs_counter("campaign.shm_bundles_created").inc()
-        self.epoch += 1
-        self.geometry = geometry
-        self._tags = tags
+        self.geometry = sharded.geometry
+        self.sharded = sharded
+        self._tags = init["tags"]
         self._base = base
         self._timesteps = [None] * self.slots
         self._seq = 0
-        self._init = {
-            "specs": self._bundle.specs,
-            "grid": geometry.grid,
-            "fraction": geometry.fraction,
-            "tags": tags,
-            "models": metas,
-        }
 
-    def _target_chunks(self) -> int:
-        if self.num_chunks is not None:
-            return int(self.num_chunks)
-        return max(1, self.executor.max_workers)
+    def _install(self, arrays: dict, init: dict) -> dict:
+        """Place the bound arrays where chunks run; returns the parent's views."""
+        self._state = _SinkState(arrays, init)
+        return arrays
+
+    def _chunks_per_shard(self, num_shards: int) -> int:
+        return 1
 
     # -------------------------------------------------------------- publish
     def publish(self, timestep: int, values: np.ndarray, weights: dict) -> int:
         """Write one timestep's sample values + per-tag weight deltas to a slot.
 
-        ``weights`` maps every bound tag to its current flat weight vector
-        (:func:`repro.perf.weights.snapshot_weights` ``.data``); only the
-        XOR delta against the base crosses into shared memory.
+        ``weights`` maps every bound tag to a flat ``(W,)`` vector (one
+        model reconstructs every shard) or an ``(S, W)`` stack (local
+        scope: one fine-tuned model per shard).  Publishing the global
+        values row is the halo exchange: each shard gathers its
+        extended-box subset through the bound ``sample_order``.
         """
-        if self._bundle is None:
-            raise RuntimeError("pool is not bound; call bind() first")
+        if self.sharded is None:
+            raise RuntimeError("sink is not bound; call bind() first")
         if set(weights) != set(self._tags):
             raise ValueError(
                 f"publish needs weights for every bound tag {sorted(self._tags)}, "
@@ -823,11 +792,21 @@ class WarmReconstructionPool:
             )
         slot = self._seq % self.slots
         self._seq += 1
-        self._bundle.view("values")[slot][...] = values
-        delta_view = self._bundle.view("weights_delta")
+        self._arrays["values"][slot][...] = values
+        delta = self._arrays["weights_delta"]
+        num_shards = self.sharded.num_shards
         for ti, tag in enumerate(self._tags):
             flat = np.asarray(weights[tag], dtype=np.float64)
-            delta_view[slot, ti, : flat.size] = weight_delta(self._base[tag], flat)
+            if flat.ndim == 1:
+                delta[slot, ti, :, : flat.size] = weight_delta(self._base[tag], flat)[None, :]
+                continue
+            if flat.shape[0] != num_shards:
+                raise ValueError(
+                    f"per-shard weights for {tag!r} must have {num_shards} rows, "
+                    f"got {flat.shape[0]}"
+                )
+            for s in range(num_shards):
+                delta[slot, ti, s, : flat.shape[1]] = weight_delta(self._base[tag], flat[s])
         self._timesteps[slot] = int(timestep)
         return slot
 
@@ -837,62 +816,37 @@ class WarmReconstructionPool:
     ) -> tuple[np.ndarray, ReconstructionReport]:
         """Reconstruct the full field for one published slot and model tag.
 
-        Chunks fan out to the warm workers; predictions land in the shared
-        ``out`` slot and are assembled (sample overlay + void fill + the
-        serial path's non-finite fallback) in the parent.  Raises the first
-        chunk failure only after the executor's retry + serial-fallback
-        recovery is exhausted.
+        Every chunk's predictions land in the slot's ``out`` row, grouped
+        by shard; the stitch scatters them back to global void order,
+        overlays the exact sample values and applies the serial path's
+        non-finite fallback (global tree, global counters).
         """
-        if self._bundle is None or self.geometry is None:
-            raise RuntimeError("pool is not bound; call bind() first")
+        if self.sharded is None:
+            raise RuntimeError("sink is not bound; call bind() first")
         if on_nonfinite not in ("fallback", "raise"):
             raise ValueError(
                 f"on_nonfinite must be 'fallback' or 'raise', got {on_nonfinite!r}"
             )
         geometry = self.geometry
         ti = self._tags.index(tag)
-        chunks = self._chunks[tag]
         payloads = [
-            {
-                "campaign": self.campaign_id,
-                "epoch": self.epoch,
-                "init": self._init,
-                "slot": int(slot),
-                "tag": tag,
-                "tag_index": ti,
-                "start": start,
-                "stop": stop,
-            }
-            for start, stop in chunks
+            {"slot": int(slot), "tag": tag, "tag_index": ti, **chunk}
+            for chunk in self._chunks[tag]
         ]
-        report = ReconstructionReport(
-            total_points=int(geometry.grid.num_points), fallback_method="nearest"
-        )
         with span(
-            "campaign.pool.reconstruct",
+            "campaign.sink.reconstruct",
             tag=tag,
+            shards=self.sharded.num_shards,
             chunks=len(payloads),
             timestep=self._timesteps[slot],
         ):
-            outcomes = self.executor.map_outcomes(self.worker_fn, payloads)
-            obs_counter("campaign.pool.chunks").inc(len(payloads))
-            for outcome in outcomes:
-                if outcome.recovered is not None:
-                    obs_counter("campaign.pool.recovered").inc()
-                    record_event(
-                        "campaign.chunk_recovered",
-                        tag=tag,
-                        chunk=outcome.index,
-                        how=outcome.recovered,
-                    )
-                if not outcome.ok:
-                    if outcome.exception is not None:
-                        raise outcome.exception
-                    raise RuntimeError(
-                        f"campaign chunk {outcome.index} ({tag}) failed: {outcome.error}"
-                    )
-            values = self._bundle.view("values")[slot]
-            pred = np.array(self._bundle.view("out")[slot, ti], copy=True)
+            self._run(payloads, tag)
+            values = self._arrays["values"][slot]
+            pred = np.empty(geometry.num_voids, dtype=np.float64)
+            pred[self.sharded.void_order] = self._arrays["out"][slot, ti]
+            report = ReconstructionReport(
+                total_points=int(geometry.grid.num_points), fallback_method="nearest"
+            )
             if not np.isfinite(pred).all():
                 if on_nonfinite == "raise":
                     from repro.resilience.health import NumericalHealthError
@@ -910,19 +864,121 @@ class WarmReconstructionPool:
             out[geometry.void_indices] = pred
             return out.reshape(geometry.grid.dims), report
 
+    def _run(self, payloads: list[dict], tag: str) -> None:
+        for payload in payloads:
+            self._state.run(payload)
+
     # -------------------------------------------------------------- teardown
     def unbind(self) -> None:
+        """Drop the bound geometry, models and slot ring."""
+        if self._state is not None:
+            self._state.close()
+        self._state = None
+        self._arrays = {}
+        self.geometry = None
+        self.sharded = None
+        self._tags = ()
+        self._base = {}
+        self._chunks = {}
+
+    def close(self) -> None:
+        self.unbind()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
+
+
+class WarmReconstructionPool(LocalReconstructionSink):
+    """The same sink with its arrays in shared memory and chunks on warm workers.
+
+    :meth:`bind` ships the :func:`_layout` arrays as one
+    :class:`~repro.perf.shm.SharedArrayBundle` per campaign (counter
+    ``campaign.shm_bundles_created``); afterwards no task payload carries
+    an array — workers receive ``(campaign id, epoch, slot, tag, shard,
+    chunk bounds)`` plus a small static init block, attach the segments
+    once and keep the rebuilt models, per-shard kd-trees and neighbor
+    slabs warm across every timestep.  :meth:`publish` writes only the
+    sample values and XOR weight deltas.  ``bind`` raises ``OSError`` when
+    shared memory is unavailable; :func:`make_reconstruction_sink` then
+    degrades to :class:`LocalReconstructionSink`.
+
+    The executor is a ``persistent=True``
+    :class:`~repro.parallel.ParallelExecutor`: a crashed worker gets its
+    recovery semantics (serial in-process re-run of the unresolved
+    chunks, then pool recycle), so a killed worker degrades a timestep
+    gracefully instead of dropping it.  Drive the pool from a
+    :class:`CampaignScheduler` with ``depth <= slots - 1``.
+    """
+
+    def __init__(
+        self,
+        executor: ParallelExecutor | None = None,
+        max_workers: int | None = None,
+        num_chunks: int | None = None,
+        slots: int = 2,
+        worker_fn=None,
+        scope: str = "global",
+    ) -> None:
+        super().__init__(slots=slots, scope=scope)
+        self._owns_executor = executor is None
+        self.executor = executor if executor is not None else ParallelExecutor(
+            max_workers=max_workers, retries=1, persistent=True
+        )
+        self.num_chunks = num_chunks
+        #: Task function run in workers; overridable for fault injection.
+        self.worker_fn = worker_fn if worker_fn is not None else _sink_worker
+        self.campaign_id = uuid.uuid4().hex
+        self.epoch = -1
+        self._bundle: SharedArrayBundle | None = None
+        self._init: dict = {}
+
+    def _install(self, arrays: dict, init: dict) -> dict:
+        self._bundle = SharedArrayBundle.create(arrays)
+        obs_counter("campaign.shm_bundles_created").inc()
+        self.epoch += 1
+        self._init = {**init, "specs": self._bundle.specs}
+        return {name: self._bundle.view(name) for name in arrays}
+
+    def _chunks_per_shard(self, num_shards: int) -> int:
+        target = self.num_chunks if self.num_chunks is not None else self.executor.max_workers
+        return max(1, -(-max(1, int(target)) // num_shards))
+
+    def _run(self, payloads: list[dict], tag: str) -> None:
+        """Fan the chunks out; raise the first failure once recovery is exhausted."""
+        header = {"campaign": self.campaign_id, "epoch": self.epoch, "init": self._init}
+        outcomes = self.executor.map_outcomes(
+            self.worker_fn, [{**header, **payload} for payload in payloads]
+        )
+        obs_counter("campaign.pool.chunks").inc(len(payloads))
+        for outcome in outcomes:
+            if outcome.recovered is not None:
+                obs_counter("campaign.pool.recovered").inc()
+                record_event(
+                    "campaign.chunk_recovered",
+                    tag=tag,
+                    chunk=outcome.index,
+                    how=outcome.recovered,
+                )
+            if not outcome.ok:
+                if outcome.exception is not None:
+                    raise outcome.exception
+                raise RuntimeError(
+                    f"campaign chunk {outcome.index} ({tag}) failed: {outcome.error}"
+                )
+
+    def unbind(self) -> None:
         """Release the current campaign's shared segments (keeps the executor)."""
+        super().unbind()
         bundle, self._bundle = self._bundle, None
         if bundle is not None:
             bundle.close()
         # Parent-side worker state (from serial in-process fallbacks) for the
         # released epoch is now stale — drop it.
-        _evict_worker_state(self.campaign_id)
-        self.geometry = None
-        self._tags = ()
-        self._base = {}
-        self._chunks = {}
+        _evict_sink_states(self.campaign_id)
         self._init = {}
 
     def close(self) -> None:
@@ -931,22 +987,16 @@ class WarmReconstructionPool:
         if self._owns_executor:
             self.executor.close()
 
-    def __enter__(self) -> "WarmReconstructionPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
 
 def make_reconstruction_sink(
-    geometry: CampaignGeometry,
+    geometry,
     models: dict,
     *,
     executor: ParallelExecutor | None = None,
     max_workers: int | None = None,
     num_chunks: int | None = None,
     slots: int = 2,
+    scope: str = "global",
     warm_pool: bool = True,
 ):
     """Bind the best available reconstruction sink for this environment.
@@ -954,12 +1004,17 @@ def make_reconstruction_sink(
     Tries a :class:`WarmReconstructionPool` (shared memory + persistent
     workers); environments without usable shared memory — or callers
     passing ``warm_pool=False`` — get a :class:`LocalReconstructionSink`.
-    Both speak the same publish/reconstruct protocol and produce
-    bit-identical fields.
+    Both take a :class:`CampaignGeometry` or a
+    :class:`~repro.shard.ShardedCampaignGeometry`, speak the same
+    publish/reconstruct protocol and produce bit-identical fields.
     """
     if warm_pool:
         pool = WarmReconstructionPool(
-            executor=executor, max_workers=max_workers, num_chunks=num_chunks, slots=slots
+            executor=executor,
+            max_workers=max_workers,
+            num_chunks=num_chunks,
+            slots=slots,
+            scope=scope,
         )
         try:
             pool.bind(geometry, models)
@@ -973,7 +1028,7 @@ def make_reconstruction_sink(
             # them before propagating or they outlive the test/run.
             pool.close()
             raise
-    sink = LocalReconstructionSink(slots=slots)
+    sink = LocalReconstructionSink(slots=slots, scope=scope)
     sink.bind(geometry, models)
     return sink
 
@@ -982,43 +1037,85 @@ def make_reconstruction_sink(
 # worker side
 
 
-class _WorkerState:
-    """Per-process warm state for one (campaign, epoch): attachments + models."""
+class _ShardContext:
+    """One shard's warm reconstruction inputs: its sample shell and kd-tree."""
 
-    def __init__(self, payload: dict) -> None:
-        from scipy.spatial import cKDTree
+    def __init__(self, state: "_SinkState", s: int) -> None:
+        from repro.core.features import sample_tree
 
+        init = state.init
+        geometry = state.geometry
+        self.shard = state.plan.shards[s]
+        soff = init["sample_offsets"]
+        self.sel = state.sample_order[soff[s] : soff[s + 1]]
+        global_sample = geometry.indices[self.sel]
+        if init["scope"] == "local":
+            self.grid = self.shard.local_grid
+            indices = self.shard.global_to_local(global_sample)
+        else:
+            # Global scope keeps the shell on the *global* grid so sample
+            # positions (and therefore features) are bitwise the unsharded
+            # ones; only the candidate set shrinks to the extended box.
+            self.grid = geometry.grid
+            indices = global_sample
+        self.shell = SampledField(
+            grid=self.grid,
+            indices=indices,
+            values=np.zeros(self.sel.size, dtype=np.float64),
+            fraction=geometry.fraction,
+        )
+        self.tree = sample_tree(self.shell.points)
+        self._slabs: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def slab(self, state: "_SinkState", start: int, stop: int, num_neighbors: int, workers: int):
+        """Cached ``(query positions, neighbor indices)`` for one chunk.
+
+        The indices come from the prediction path's own query
+        (:func:`repro.core.features.nearest_samples`), so priming the
+        feature extractor's memo with them is bit-identical to letting it
+        query.
+        """
+        key = (start, stop, num_neighbors)
+        cached = self._slabs.get(key)
+        if cached is not None:
+            return cached
+        from repro.core.features import nearest_samples
+
+        base = state.init["void_offsets"][self.shard.index]
+        owned = state.void_order[base + start : base + stop]
+        if state.init["scope"] == "local":
+            local = self.shard.global_to_local(state.geometry.void_indices[owned])
+            points = self.grid.index_to_position(self.grid.flat_to_multi(local))
+        else:
+            points = state.geometry.void_points[owned]
+        idx = nearest_samples(self.tree, points, num_neighbors, workers=workers)
+        self._slabs[key] = (points, idx)
+        return points, idx
+
+
+class _SinkState:
+    """Warm per-process state for one bound campaign: arrays, plan and models.
+
+    Works over any mapping of the bound arrays — shared-memory views in
+    pool workers, plain arrays inside :class:`LocalReconstructionSink` —
+    so both sinks run the exact same compute.
+    """
+
+    def __init__(self, arrays: dict, init: dict, handles: list | None = None) -> None:
         from repro.core.normalization import Normalizer
         from repro.core.reconstructor import FCNNReconstructor
         from repro.nn.network import from_spec
+        from repro.shard import ShardPlan
 
-        init = payload["init"]
-        self.handles: list = []
-        self.arrays: dict[str, np.ndarray] = {}
-        try:
-            for name, spec in init["specs"].items():
-                shm = _shm._attach(spec.shm_name)
-                self.handles.append(shm)
-                self.arrays[name] = np.ndarray(
-                    spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf
-                )
-        except BaseException:
-            # A failure between attach and first read must not leak the
-            # already-opened mappings: drop the views, close every handle.
-            self.arrays.clear()
-            for shm in self.handles:
-                try:
-                    shm.close()
-                except BufferError:  # pragma: no cover - view still alive
-                    pass
-            self.handles.clear()
-            raise
-        indices = np.array(self.arrays["indices"], dtype=np.int64, copy=True)
+        self.arrays = arrays
+        self.handles = handles if handles is not None else []
+        self.init = init
+        self.plan = ShardPlan.create(init["grid"], init["counts"], init["halo"])
+        indices = np.array(arrays["indices"], dtype=np.int64, copy=True)
         self.geometry = CampaignGeometry(init["grid"], indices, init["fraction"])
-        self.sample = self.geometry.shell()
-        self.tree = cKDTree(self.geometry.points)
-        self.models: dict[str, FCNNReconstructor] = {}
-        self.num_weights: dict[str, int] = {}
+        self.sample_order = np.array(arrays["sample_order"], dtype=np.int64, copy=True)
+        self.void_order = np.array(arrays["void_order"], dtype=np.int64, copy=True)
+        self.models: dict = {}
         self.scratch: dict[str, np.ndarray] = {}
         for tag in init["tags"]:
             meta = init["models"][tag]
@@ -1027,104 +1124,107 @@ class _WorkerState:
             recon.dtype_policy.cast_model(recon.model)
             recon.normalizer = Normalizer.from_dict(meta["normalizer"])
             self.models[tag] = recon
-            self.num_weights[tag] = int(meta["num_weights"])
             self.scratch[tag] = np.empty(meta["num_weights"], dtype=np.float64)
-        self._slabs: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._contexts: dict[int, _ShardContext] = {}
 
-    def slab(self, start: int, stop: int, num_neighbors: int, workers: int):
-        """Cached ``(query positions, neighbor indices)`` for one chunk.
+    def context(self, s: int) -> _ShardContext:
+        ctx = self._contexts.get(s)
+        if ctx is None:
+            ctx = self._contexts[s] = _ShardContext(self, s)
+        return ctx
 
-        Neighbor indices replicate :meth:`FeatureExtractor._neighbor_indices`
-        exactly (same tree data, same query, same padding) so priming the
-        extractor memo with them is bit-identical to letting it query.
+    def run(self, payload: dict) -> int:
+        """Reconstruct one (slot, tag, shard, chunk) into the ``out`` segment.
+
+        Decodes the slot's XOR weight delta into the warm model, gathers
+        the shard's sample values from the global row, primes the feature
+        extractor's neighbor memo from the per-chunk slab and predicts the
+        chunk — every step bit-identical to the serial predict path.
         """
-        key = (start, stop, num_neighbors)
-        cached = self._slabs.get(key)
-        if cached is not None:
-            return cached
-        from repro.core.features import TIE_BREAK_PAD, canonical_neighbors
+        slot = int(payload["slot"])
+        tag = payload["tag"]
+        ti = int(payload["tag_index"])
+        s = int(payload["shard"])
+        start, stop = int(payload["start"]), int(payload["stop"])
+        recon = self.models[tag]
+        w = self.scratch[tag].size
+        ctx = self.context(s)
 
-        points = self.geometry.void_points[start:stop]
-        k = min(num_neighbors, self.geometry.num_samples)
-        kq = min(k + TIE_BREAK_PAD, self.geometry.num_samples)
-        dist, idx = self.tree.query(points, k=kq, workers=workers)
-        if kq == 1:
-            dist, idx = dist[:, None], idx[:, None]
-        idx = canonical_neighbors(dist, idx, k)
-        if k < num_neighbors:
-            pad = np.repeat(idx[:, -1:], num_neighbors - k, axis=1)
-            idx = np.concatenate([idx, pad], axis=1)
-        self._slabs[key] = (points, idx)
-        return points, idx
+        flat = apply_weight_delta(
+            self.arrays["weights_base"][ti, :w],
+            self.arrays["weights_delta"][slot, ti, s, :w],
+            out=self.scratch[tag],
+        )
+        restore_weights(recon.model, flat)
+        np.take(self.arrays["values"][slot], ctx.sel, out=ctx.shell.values)
+
+        extractor = recon.extractor
+        points, idx = ctx.slab(self, start, stop, extractor.num_neighbors, extractor.workers)
+        if extractor.cache_geometry:
+            extractor._cached_sample = ctx.shell
+            extractor._cached_tree = ctx.tree
+            extractor._cached_query = points
+            extractor._cached_idx = idx
+        base = int(self.init["void_offsets"][s])
+        self.arrays["out"][slot, ti, base + start : base + stop] = recon.predict_values(
+            ctx.shell, points, ctx.grid
+        )
+        return stop - start
 
     def close(self) -> None:
-        self.arrays.clear()
-        self._slabs.clear()
-        for shm in self.handles:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - view still referenced
-                pass
-        self.handles = []
+        self.arrays = {}
+        self._contexts.clear()
+        _close_segments(self.handles)
+
+
+def _close_segments(handles: list) -> None:
+    for shm in handles:
+        try:
+            shm.close()
+        except BufferError:  # pragma: no cover - a view is still referenced
+            pass
+    handles.clear()
 
 
 #: (campaign id, epoch) -> warm state.  Module-level so pooled workers (and
-#: the in-process serial fallback) keep attachments/models across tasks.
-_WORKER_STATE: dict[tuple[str, int], _WorkerState] = {}
+#: the executor's in-process serial fallback) keep attachments across tasks.
+_SINK_STATES: dict[tuple[str, int], _SinkState] = {}
 
 
-def _evict_worker_state(campaign: str, keep_epoch: int | None = None) -> None:
-    for key in [k for k in _WORKER_STATE if k[0] == campaign and k[1] != keep_epoch]:
-        _WORKER_STATE.pop(key).close()
+def _evict_sink_states(campaign: str, keep_epoch: int | None = None) -> None:
+    for key in [k for k in _SINK_STATES if k[0] == campaign and k[1] != keep_epoch]:
+        _SINK_STATES.pop(key).close()
 
 
-def _worker_state(payload: dict) -> _WorkerState:
+def _sink_state(payload: dict) -> _SinkState:
+    """The warm state a task runs against: attach its bundle once per process."""
     key = (payload["campaign"], payload["epoch"])
-    state = _WORKER_STATE.get(key)
+    state = _SINK_STATES.get(key)
     if state is not None:
         return state
     # A new epoch of a campaign invalidates its older attachments.
-    _evict_worker_state(payload["campaign"], keep_epoch=payload["epoch"])
-    while len(_WORKER_STATE) >= _WORKER_STATE_MAX:
-        _WORKER_STATE.pop(next(iter(_WORKER_STATE))).close()
-    state = _WorkerState(payload)
-    _WORKER_STATE[key] = state
+    _evict_sink_states(payload["campaign"], keep_epoch=payload["epoch"])
+    while len(_SINK_STATES) >= _SINK_STATE_MAX:
+        _SINK_STATES.pop(next(iter(_SINK_STATES))).close()
+    init = payload["init"]
+    handles: list = []
+    arrays: dict[str, np.ndarray] = {}
+    try:
+        for name, spec in init["specs"].items():
+            shm = _shm._attach(spec.shm_name)
+            handles.append(shm)
+            arrays[name] = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
+        state = _SinkState(arrays, init, handles)
+    except BaseException:
+        # A failure after the first attach must not leak the mappings
+        # already opened: drop the views, then close every handle.
+        arrays.clear()
+        _close_segments(handles)
+        raise
+    _SINK_STATES[key] = state
     return state
 
 
-def _campaign_worker(payload: dict) -> int:
-    """Reconstruct one (slot, tag, chunk) into the shared ``out`` segment.
-
-    Runs in pool workers (or in-process on the executor's serial fallback).
-    Decodes the slot's XOR weight delta into the warm model, refreshes the
-    warm sample shell's values in place, primes the feature extractor's
-    neighbor memo from the per-chunk cache and predicts the chunk — every
-    step bit-identical to the serial predict path.
-    """
-    state = _worker_state(payload)
-    slot = int(payload["slot"])
-    tag = payload["tag"]
-    ti = int(payload["tag_index"])
-    start, stop = int(payload["start"]), int(payload["stop"])
-    recon = state.models[tag]
-    w = state.num_weights[tag]
-
-    flat = apply_weight_delta(
-        state.arrays["weights_base"][ti, :w],
-        state.arrays["weights_delta"][slot, ti, :w],
-        out=state.scratch[tag],
-    )
-    restore_weights(recon.model, flat)
-    state.sample.values[...] = state.arrays["values"][slot]
-
-    extractor = recon.extractor
-    points, idx = state.slab(start, stop, extractor.num_neighbors, extractor.workers)
-    if extractor.cache_geometry:
-        extractor._cached_sample = state.sample
-        extractor._cached_tree = state.tree
-        extractor._cached_query = points
-        extractor._cached_idx = idx
-    state.arrays["out"][slot, ti, start:stop] = recon.predict_values(
-        state.sample, points, state.geometry.grid
-    )
-    return stop - start
+def _sink_worker(payload: dict) -> int:
+    """Pool task: attach (once per process), then reconstruct one chunk."""
+    return _sink_state(payload).run(payload)

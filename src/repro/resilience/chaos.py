@@ -196,13 +196,13 @@ class WorkerKillFault:
         return os.path.exists(self.marker)
 
     def __call__(self, payload):
-        from repro.perf.campaign import _campaign_worker
+        from repro.perf.campaign import _sink_worker
 
         if os.getpid() != self.parent_pid and not os.path.exists(self.marker):
             with open(self.marker, "w", encoding="ascii") as fh:
                 fh.write("tripped\n")
             os._exit(self.exit_code)
-        return _campaign_worker(payload)
+        return _sink_worker(payload)
 
 
 def torn_tail(journal_path: str | os.PathLike, *, drop_records: int = 1, partial: bool = True) -> int:

@@ -316,8 +316,15 @@ class ServedField:
             yield start, stop, pred[start:stop]
 
     def assemble(self) -> np.ndarray:
-        """Materialize the full grid (the one deliberate full-size copy)."""
-        return self._engine.assemble(self.values, self.predictions)
+        """Materialize the full grid (the one deliberate full-size copy).
+
+        Raises :class:`StaleResultError` when the slot was recycled before
+        or during the copy: a store bumps the generation before it
+        writes, so a check after the copy catches mixed bytes.
+        """
+        out = self._engine.assemble(self.values, self.predictions)
+        self._cache.check(self._slot, self._generation)
+        return out
 
 
 class ServedChunk:

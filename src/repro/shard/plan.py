@@ -9,7 +9,7 @@ inside the extended box are what a shard-local reconstruction may see;
 halo cells overlap neighboring interiors, which is how "halo exchange"
 is realized over the shared-memory transport: every shard reads the
 neighbor-owned samples that fall inside its halo from the one shared
-sample-value segment (:mod:`repro.shard.pool`).
+sample-value segment (:mod:`repro.perf.campaign`).
 
 Index conventions match the rest of the package: flat indices are C-order
 (z fastest), so a box enumerated in its own C order yields strictly

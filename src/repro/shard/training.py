@@ -77,8 +77,9 @@ def fine_tune_shards(
     Returns ``(flats, histories)`` with one ``(num_shards, W)`` weight
     stack and one per-shard history list per timestep, ordered like
     ``fields``.  Row ``s`` of a stack is the model for ``plan.shards[s]``
-    — exactly the layout :meth:`ShardReconstructionPool.publish` accepts.
-    The base model is never mutated (``fine_tune_batch`` semantics).
+    — exactly the per-shard layout a campaign sink's ``publish`` accepts
+    (:class:`repro.perf.campaign.LocalReconstructionSink`).  The base
+    model is never mutated (``fine_tune_batch`` semantics).
     """
     fields = list(fields)
     samples_per_step = list(samples_per_step)

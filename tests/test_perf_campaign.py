@@ -23,9 +23,9 @@ from repro.perf.campaign import (
     GeometryCache,
     LocalReconstructionSink,
     WarmReconstructionPool,
-    _aligned_chunks,
     geometry_key,
 )
+from repro.parallel.chunking import aligned_chunks
 from repro.perf.weights import (
     apply_weight_delta,
     restore_weights,
@@ -140,22 +140,22 @@ class TestWeights:
 
 class TestAlignedChunks:
     def test_covers_range_contiguously(self):
-        chunks = _aligned_chunks(100_000, 4, 16384)
+        chunks = aligned_chunks(100_000, 4, 16384)
         assert chunks[0][0] == 0 and chunks[-1][1] == 100_000
         for (_, stop), (start, _) in zip(chunks, chunks[1:]):
             assert stop == start
 
     def test_boundaries_are_block_multiples(self):
         for total, n, align in ((100_000, 4, 16384), (50_000, 3, 4096), (16385, 2, 16384)):
-            for start, stop in _aligned_chunks(total, n, align)[:-1]:
+            for start, stop in aligned_chunks(total, n, align)[:-1]:
                 assert start % align == 0
                 assert stop % align == 0
 
     def test_small_totals_collapse_to_one_chunk(self):
-        assert _aligned_chunks(820, 4, 16384) == [(0, 820)]
+        assert aligned_chunks(820, 4, 16384) == [(0, 820)]
 
     def test_empty_total(self):
-        assert _aligned_chunks(0, 4, 16384) == []
+        assert aligned_chunks(0, 4, 16384) == []
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +525,22 @@ class TestBatchedCampaign:
         # ...but later ones roll forward serially vs. derive from the base.
         assert self._scores(batched)[1:] != self._scores(rolling)[1:]
 
+    def test_one_block_counts_its_timesteps(self, campaign_pipeline, base_model, metrics):
+        from repro.obs import counter
+
+        result = campaign_pipeline.run_campaign(
+            base_model.clone(),
+            (0, 2, 4, 6, 8),
+            0.05,
+            finetune_epochs=1,
+            batched_finetune=True,
+            finetune_batch=0,
+            warm_pool=False,
+            pipeline=False,
+        )
+        assert result.stats.timesteps == 5
+        assert counter("campaign.timesteps").value == 5
+
     def test_journal_keeps_per_timestep_states_from_base(
         self, campaign_pipeline, base_model, tmp_path
     ):
@@ -599,7 +615,7 @@ class _KillOnceWorker:
         self.parent_pid = os.getpid()
 
     def __call__(self, payload):
-        from repro.perf.campaign import _campaign_worker
+        from repro.perf.campaign import _sink_worker
 
         marker = os.path.join(self.state_dir, "campaign-worker-kill.tripped")
         # only ever kill a *worker* process — on hosts where the executor
@@ -608,7 +624,7 @@ class _KillOnceWorker:
             with open(marker, "w", encoding="ascii") as fh:
                 fh.write("tripped\n")
             os._exit(23)
-        return _campaign_worker(payload)
+        return _sink_worker(payload)
 
 
 def _drive_sink(sink, geometry, campaign_pipeline, model, timesteps):
@@ -823,3 +839,19 @@ class TestInSituPipelined:
         )
         assert mismatch == [] and errors == []
         assert sorted(match) == names
+
+    def test_batched_writer_counts_timesteps(self, tmp_path, metrics):
+        from repro.insitu import InSituWriter
+        from repro.obs import counter
+        from repro.sampling import MultiCriteriaSampler
+
+        writer = InSituWriter(
+            make_dataset("combustion", dims=DIMS, seed=0),
+            MultiCriteriaSampler(seed=0),
+            0.05,
+            train_model=False,
+            batched_finetune=True,
+            finetune_batch=0,
+        )
+        writer.run(tmp_path / "out", (0, 2, 4, 6, 8), pipeline=False)
+        assert counter("campaign.timesteps").value == 5

@@ -99,18 +99,45 @@ class TestBundle:
             # segment must be closed before the error propagates
             specs["missing"] = SharedArraySpec("psm_repro_never_created", (4,), "<f8")
             payload = {
+                "campaign": "attach-failure",
+                "epoch": 0,
                 "init": {
                     "specs": specs,
                     "grid": UniformGrid((4, 1, 1)),
                     "fraction": 1.0,
                     "tags": [],
                     "models": {},
-                }
+                },
             }
             with pytest.raises(FileNotFoundError):
-                campaign_mod._WorkerState(payload)
+                campaign_mod._sink_state(payload)
         assert len(opened) == 1
         assert opened[0].buf is None  # closed, not leaked
+        assert ("attach-failure", 0) not in campaign_mod._SINK_STATES
+
+    def test_worker_state_failure_closes_every_attached_segment(self, monkeypatch):
+        """All segments map, then building the warm state fails: none may leak."""
+        from repro.perf import campaign as campaign_mod
+
+        opened = []
+        real_attach = campaign_mod._shm._attach
+
+        def tracking_attach(name):
+            shm = real_attach(name)
+            opened.append(shm)
+            return shm
+
+        monkeypatch.setattr(campaign_mod._shm, "_attach", tracking_attach)
+        with SharedArrayBundle.create(
+            {"indices": np.arange(4, dtype=np.int64), "values": np.zeros((1, 4))}
+        ) as bundle:
+            # no grid/plan keys: _SinkState raises after both attaches
+            payload = {"campaign": "state-failure", "epoch": 0, "init": {"specs": bundle.specs}}
+            with pytest.raises(KeyError):
+                campaign_mod._sink_state(payload)
+        assert len(opened) == 2
+        assert all(shm.buf is None for shm in opened)
+        assert ("state-failure", 0) not in campaign_mod._SINK_STATES
 
     def test_empty_array_supported(self):
         with SharedArrayBundle.create({"empty": np.empty((0, 3))}) as bundle:

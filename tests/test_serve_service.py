@@ -65,6 +65,39 @@ class TestBasics:
         finally:
             sink.close()
 
+    @pytest.mark.parametrize("dims,num_voids", [((10, 10, 5), 1), ((26, 26, 26), 16385)])
+    def test_one_row_tail_block_matches_offline_sink(
+        self, serve_registry, keys, tmp_path, dims, num_voids
+    ):
+        """A predict block of one void runs the same kernels served and offline."""
+        from repro.grid.uniform import UniformGrid
+        from repro.perf.campaign import make_reconstruction_sink
+        from repro.serve import ModelRegistry
+
+        src = serve_registry.namespace(keys[0].dataset, keys[0].fraction)
+        weights, _ = serve_registry.hot(keys[0])
+        grid = UniformGrid(dims=dims, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0))
+        rng = np.random.default_rng(7)
+        voids = rng.choice(grid.num_points, size=num_voids, replace=False)
+        indices = np.setdiff1d(np.arange(grid.num_points), voids)
+        values = np.sin(indices / 97.0) + rng.normal(scale=0.1, size=indices.size)
+        registry = ModelRegistry(tmp_path / "tail")
+        ns = registry.create_namespace("tail", 0.5, src.base, grid, indices)
+        key = ModelKey("tail", 0.5, 0)
+        registry.put(key, weights, values)
+        assert ns.geometry.num_voids == num_voids
+        sink = make_reconstruction_sink(
+            ns.geometry, {"fcnn": ns.base.clone()}, warm_pool=False
+        )
+        try:
+            slot = sink.publish(0, values, {"fcnn": weights})
+            offline, _ = sink.reconstruct(slot, "fcnn")
+        finally:
+            sink.close()
+        with make_server(registry) as server:
+            served = server.serve(ServeRequest(key=key), timeout=60)
+            assert served.assemble().tobytes() == offline.tobytes()
+
     def test_unknown_key_errors_the_ticket(self, serve_registry):
         with make_server(serve_registry) as server:
             ticket = server.submit(ServeRequest(key=ModelKey("nope", 0.5, 0)))
@@ -182,6 +215,21 @@ class TestResultRing:
             # re-requesting re-materializes the same bits
             again = server.serve(ServeRequest(key=keys[0]), timeout=60)
             assert again.predictions.shape[0] > 0
+
+    def test_assemble_detects_slot_recycled_mid_copy(self, serve_registry, keys):
+        with make_server(serve_registry, cache_slots=1) as server:
+            first = server.serve(ServeRequest(key=keys[0]), timeout=60)
+            engine = first._engine
+
+            class RecyclingEngine:
+                def assemble(self, values, pred):
+                    # another key lands in the only slot while the copy runs
+                    server.serve(ServeRequest(key=keys[1]), timeout=60)
+                    return engine.assemble(values, pred)
+
+            first._engine = RecyclingEngine()
+            with pytest.raises(StaleResultError):
+                first.assemble()
 
     def test_shm_transport_when_available(self, serve_registry, keys):
         import os

@@ -25,17 +25,19 @@ from repro.core import FCNNReconstructor, ReconstructionPipeline
 from repro.datasets import make_dataset
 from repro.insitu import CampaignReader, InSituWriter
 from repro.metrics import score_reconstruction
-from repro.perf.campaign import CampaignGeometry, LocalReconstructionSink
+from repro.perf.campaign import (
+    CampaignGeometry,
+    LocalReconstructionSink,
+    WarmReconstructionPool,
+    make_reconstruction_sink,
+)
 from repro.perf.weights import snapshot_weights
 from repro.resilience.journal import JournalCorruptionError
 from repro.sampling import MultiCriteriaSampler
 from repro.shard import (
-    LocalShardSink,
     ShardPlan,
-    ShardReconstructionPool,
     ShardedCampaignGeometry,
     fine_tune_shards,
-    make_shard_sink,
     shard_field,
     shard_sample,
 )
@@ -107,7 +109,7 @@ class TestShardSinks:
         plan = ShardPlan.create(geometry.grid, (2, 2, 1), BIG_HALO)
         sharded = ShardedCampaignGeometry(plan, geometry)
         assert sharded.seam_check(base_model.extractor.num_neighbors).exact
-        with LocalShardSink(slots=2) as sink:
+        with LocalReconstructionSink(slots=2) as sink:
             sink.bind(sharded, {"fcnn": base_model.clone()})
             got = self._drive(sink, campaign_pipeline, base_model, geometry)
         assert [v.tobytes() for v in got] == [v.tobytes() for v in reference]
@@ -117,7 +119,7 @@ class TestShardSinks:
     ):
         plan = ShardPlan.create(geometry.grid, (2, 2, 1), BIG_HALO)
         sharded = ShardedCampaignGeometry(plan, geometry)
-        pool = ShardReconstructionPool(max_workers=2)
+        pool = WarmReconstructionPool(max_workers=2)
         try:
             pool.bind(sharded, {"fcnn": base_model.clone()})
         except OSError:
@@ -133,9 +135,9 @@ class TestShardSinks:
         plan = ShardPlan.create(geometry.grid, (2, 1, 1), BIG_HALO)
         sharded = ShardedCampaignGeometry(plan, geometry)
         with ShmUnavailableFault(mode="create") as fault:
-            sink = make_shard_sink(sharded, {"fcnn": base_model.clone()})
+            sink = make_reconstruction_sink(sharded, {"fcnn": base_model.clone()})
             try:
-                assert isinstance(sink, LocalShardSink)
+                assert type(sink) is LocalReconstructionSink
             finally:
                 sink.close()
         assert fault.fires >= 1

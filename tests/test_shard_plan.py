@@ -29,7 +29,6 @@ from repro.shard import (
     parse_shards,
     suggest_halo,
 )
-from repro.shard.pool import _shard_chunks
 
 dims_st = st.tuples(st.integers(2, 9), st.integers(2, 8), st.integers(1, 6))
 counts_st = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2))
@@ -174,31 +173,49 @@ class TestShardPlanProperties:
 
 
 # ----------------------------------------------------------- chunking guard
-class TestShardChunks:
-    @given(
-        n=st.integers(0, 200),
-        num_chunks=st.integers(1, 5),
-        block=st.sampled_from([3, 4, 16]),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_partition_without_single_row_tail(self, n, num_chunks, block):
-        # block >= 3 mirrors production (block >= 16384): with block == 2
-        # an odd segment cannot avoid a 1-row trailing matmul at all.
-        chunks = _shard_chunks(n, num_chunks, block)
-        # Contiguous cover of [0, n).
-        assert [c[0] for c in chunks[1:]] == [c[1] for c in chunks[:-1]]
-        if n == 0:
-            assert chunks == []
-        else:
-            assert chunks[0][0] == 0 and chunks[-1][1] == n
-        # No chunk's trailing predict block is a single row (gemv), except
-        # the irreducible n == 1 segment.
-        for start, stop in chunks:
-            if n > 1:
-                assert (stop - start) % block != 1, (n, num_chunks, block, chunks)
+def _inference_net(workspace: bool):
+    from repro.nn import mlp
+    from repro.perf import Workspace
 
-    def test_single_void_segment_stays(self):
-        assert _shard_chunks(1, 4, 16) == [(0, 1)]
+    net = mlp(23, [16, 8], 4, activation="ReLU", seed=3)
+    net.set_training(False)
+    if workspace:
+        net.attach_workspace(Workspace())
+    return net
+
+
+class TestChunkingIsRowwise:
+    """Shard chunk boundaries cannot change predicted bits.
+
+    A shard's chunks are an arbitrary row partition of its owned voids —
+    including one-row pieces, which BLAS would route through gemv — so
+    inference must be a pure per-row function of its input.
+    """
+
+    @given(
+        n=st.integers(1, 120),
+        cuts=st.lists(st.integers(1, 119), max_size=6),
+        workspace=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_row_partition_predicts_the_same_bits(self, n, cuts, workspace):
+        net = _inference_net(workspace)
+        x = np.random.default_rng(n).standard_normal((n, 23))
+        whole = np.array(net.forward(x), copy=True)
+        bounds = [0, *sorted({c for c in cuts if c < n}), n]
+        pieces = [
+            np.array(net.forward(x[lo:hi]), copy=True)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+    def test_one_row_block_matches_its_row_in_a_larger_block(self):
+        x = np.random.default_rng(0).standard_normal((9, 23))
+        for workspace in (False, True):
+            net = _inference_net(workspace)
+            whole = np.array(net.forward(x), copy=True)
+            for i in range(len(x)):
+                assert net.forward(x[i : i + 1]).tobytes() == whole[i : i + 1].tobytes()
 
 
 # ------------------------------------------------------- geometry + seams
