@@ -3,14 +3,17 @@
 Unlike the figure/table benches (one-shot experiment regeneration), these
 use pytest-benchmark's normal multi-round timing to track the cost of the
 individual building blocks: sampler draws, feature extraction, NN
-forward/backward, and each interpolator's void fill.
+forward/backward, canonical neighbor selection, and each interpolator's
+void fill.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import FCNNReconstructor, FeatureExtractor
+from repro.core.features import nearest_samples, sample_tree
 from repro.datasets import HurricaneDataset
+from repro.datasets.registry import make_dataset
 from repro.interpolation import make_interpolator
 from repro.nn import Adam, MSELoss, mlp
 from repro.sampling import MultiCriteriaSampler, RandomSampler
@@ -48,6 +51,23 @@ class TestFeatureKernels:
         extractor = FeatureExtractor()
         normalizer = extractor.fit_normalizer(sample, field=field)
         benchmark(extractor.training_data, field, sample, normalizer)
+
+
+class TestNeighborSelection:
+    @pytest.fixture(scope="class")
+    def cold_geometry(self, bench_profile):
+        """A never-seen 1% draw of the cold-reconstruct shape (ionization, k=5).
+
+        64x64x32 grid; 32x32x16 under ``--bench-profile=quick``.
+        """
+        dims = (32, 32, 16) if bench_profile == "quick" else (64, 64, 32)
+        field = make_dataset("ionization", dims=dims, seed=0).field(0)
+        sample = MultiCriteriaSampler(seed=17).sample(field, 0.01)
+        return sample_tree(sample.points), sample.void_points()
+
+    def test_nearest_samples_canonical(self, benchmark, cold_geometry):
+        tree, query = cold_geometry
+        benchmark(nearest_samples, tree, query, 5)
 
 
 class TestNNKernels:

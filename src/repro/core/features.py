@@ -17,6 +17,8 @@ from scipy.spatial import cKDTree
 from repro.core.normalization import Normalizer
 from repro.datasets.base import TimestepField
 from repro.grid import UniformGrid, field_gradients
+from repro.obs import counter as obs_counter
+from repro.obs import span
 from repro.sampling.base import SampledField
 
 __all__ = [
@@ -27,38 +29,59 @@ __all__ = [
     "sample_tree",
 ]
 
-#: Extra kd-tree candidates fetched per query so rank-k distance ties
-#: resolve canonically (see :func:`canonical_neighbors`).
+#: Extra kd-tree candidates fetched for queries whose ``k``-th and
+#: ``(k+1)``-th nearest samples are equidistant, so rank-``k`` distance ties
+#: resolve canonically (see :func:`nearest_samples`).
 TIE_BREAK_PAD = 15
 
 
 def canonical_neighbors(dist: np.ndarray, idx: np.ndarray, k: int) -> np.ndarray:
     """Pick ``k`` of ``(Q, kq)`` candidate neighbors by ``(distance, index)``.
 
-    kd-tree queries return candidates sorted by distance, but *ties* —
-    ubiquitous between lattice points — are ordered by the tree's internal
-    construction: two trees over different subsets of the same points can
-    disagree both on the order of tied neighbors and on which tied
-    candidate makes the ``k`` cut.  Re-sorting the padded candidate list
-    by ``(distance, sample index)`` and keeping the first ``k`` makes the
-    selection a pure function of the point set itself, so any spatial
-    partition of the samples (for example a shard's halo-extended subset,
-    whose local→global index map is strictly increasing) reproduces the
-    global selection bit-for-bit whenever all ``k + TIE_BREAK_PAD``
-    candidates lie inside the subset.
+    ``dist`` must hold each row sorted by distance, as a kd-tree query
+    returns it.  kd-tree queries order *ties* — ubiquitous between lattice
+    points — by the tree's internal construction: two trees over different
+    subsets of the same points can disagree both on the order of tied
+    neighbors and on which tied candidate makes the ``k`` cut.  Re-sorting
+    each row by ``(distance, sample index)`` and keeping the first ``k``
+    makes the selection a pure function of the point set itself, so any
+    spatial partition of the samples (for example a shard's
+    halo-extended subset, whose local→global index map is strictly
+    increasing) reproduces the global selection bit-for-bit whenever the
+    candidate list it canonicalizes lies inside the subset.
+
+    The sort is row-local: each candidate's tie-group rank within its row
+    (``cumsum`` of distance changes along the sorted row) and its index
+    pack into one int64 key, ``rank * m + idx`` with ``m = idx.max() + 1``,
+    and sorting that key row by row orders the row by ``(distance,
+    index)``.
     """
-    n, kq = idx.shape
-    if kq <= 1:
+    q, kq = idx.shape
+    if q == 0 or kq <= 1:
         return idx[:, :k]
-    rows = np.repeat(np.arange(n), kq)
-    perm = np.lexsort((idx.ravel(), dist.ravel(), rows)).reshape(n, kq)
-    perm -= np.arange(n)[:, None] * kq
-    return np.take_along_axis(idx, perm[:, :k], axis=1)
+    m = int(idx.max()) + 1
+    key = np.zeros(idx.shape, dtype=np.int64)
+    np.cumsum(dist[:, 1:] != dist[:, :-1], axis=1, out=key[:, 1:])
+    key *= m
+    key += idx
+    key.sort(axis=1)
+    return key[:, :k] % m
 
 
 def sample_tree(points: np.ndarray) -> cKDTree:
     """The kd-tree over sample positions that :func:`nearest_samples` queries."""
     return cKDTree(points)
+
+
+def _query(
+    tree: cKDTree, query_points: np.ndarray, kq: int, workers: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, kq)`` distances and indices of each query's ``kq`` nearest samples."""
+    with span("features.kd_query"):
+        dist, idx = tree.query(query_points, k=kq, workers=workers)
+    if kq == 1:
+        dist, idx = dist[:, None], idx[:, None]
+    return dist, idx
 
 
 def nearest_samples(
@@ -73,19 +96,45 @@ def nearest_samples(
 
     The one neighbor-selection query of the prediction path: the feature
     extractor and the campaign sinks' per-chunk slabs both call it, so a
-    change to the tie-break changes every path at once.  ``canonical``
-    fetches ``k + TIE_BREAK_PAD`` candidates and keeps the first ``k`` by
-    ``(distance, index)`` (:func:`canonical_neighbors`); otherwise the
-    kd-tree's own ``k`` are kept in its tie order.  When the tree holds
-    fewer than ``num_neighbors`` samples the farthest one is repeated.
+    change to the tie-break changes every path at once.  When the tree
+    holds fewer than ``num_neighbors`` samples the farthest one is
+    repeated.  ``canonical=False`` keeps the kd-tree's own ``k`` in its
+    tie order.
+
+    ``canonical`` selects the first ``k`` of the padded ``k +
+    TIE_BREAK_PAD`` candidate list by ``(distance, index)``
+    (:func:`canonical_neighbors`), in two depths:
+
+    * every query fetches ``k + 1`` candidates.  Where the ``k``-th and
+      ``(k+1)``-th distances differ, the ``k`` nearest samples are a
+      unique set, so they are also the first ``k`` of the padded list and
+      canonicalizing the short list selects exactly what the padded one
+      would;
+    * queries tied at that cut are fetched again, alone, at the padded
+      depth and canonicalized from it.
+
+    Either way each row's selection depends only on the tree's point set
+    and the row's own query point, never on the other rows queried with
+    it, so chunk and shard slabs reproduce the full query row for row.
+    The ``features.canonical.rows`` / ``features.canonical.requeried``
+    counters record how many rows took the deep path.
     """
     k = min(num_neighbors, tree.n)
-    kq = min(k + TIE_BREAK_PAD, tree.n) if canonical else k
-    dist, idx = tree.query(query_points, k=kq, workers=workers)
-    if kq == 1:
-        dist, idx = dist[:, None], idx[:, None]
-    if canonical:
-        idx = canonical_neighbors(dist, idx, k)
+    if not canonical:
+        idx = _query(tree, query_points, k, workers)[1]
+    else:
+        kq = min(k + 1, tree.n)
+        dist, idx = _query(tree, query_points, kq, workers)
+        with span("features.tie_break"):
+            tied = np.flatnonzero(dist[:, k - 1] == dist[:, -1]) if kq > k else ()
+            idx = canonical_neighbors(dist, idx, k)
+        deep = min(k + TIE_BREAK_PAD, tree.n)
+        if len(tied) and deep > kq:
+            dist, cand = _query(tree, query_points[tied], deep, workers)
+            with span("features.tie_break"):
+                idx[tied] = canonical_neighbors(dist, cand, k)
+        obs_counter("features.canonical.rows").inc(len(idx))
+        obs_counter("features.canonical.requeried").inc(len(tied))
     if k < num_neighbors:
         pad = np.repeat(idx[:, -1:], num_neighbors - k, axis=1)
         idx = np.concatenate([idx, pad], axis=1)
@@ -185,8 +234,8 @@ class FeatureExtractor:
     ) -> np.ndarray:
         """``(Q, num_neighbors)`` nearest-sample indices, nearest first.
 
-        Ties are broken canonically by sample index over a padded candidate
-        list (:func:`canonical_neighbors`), so the selection depends only on
+        Ties are broken canonically by sample index
+        (:func:`nearest_samples`), so the selection depends only on
         the sampled point set — not on kd-tree construction order — and
         shard-local queries over a halo-extended subset reproduce it
         exactly.
@@ -194,9 +243,8 @@ class FeatureExtractor:
         ``canonical=False`` queries exactly ``k`` candidates and keeps the
         kd-tree's own tie order.  Training uses it: a training set is
         built once from the global sample (no spatial subset ever has to
-        reproduce the selection), so it can skip the padded query and the
-        re-rank — and keep the exact neighbor sets the pre-canonical
-        training path produced.  The non-canonical path never touches the
+        reproduce the selection), so it can skip the tie-break — and keep
+        the exact neighbor sets the pre-canonical training path produced.  The non-canonical path never touches the
         memo below, so interleaving training and prediction over the same
         ``(sample, query_points)`` objects cannot leak one selection into
         the other.
@@ -326,8 +374,8 @@ class FeatureExtractor:
         void = sample.void_indices()
         points = field.grid.index_to_position(field.grid.flat_to_multi(void))
         # Training selection keeps the kd-tree's raw neighbor order: no
-        # spatial subset ever has to reproduce it, so the padded canonical
-        # query (a prediction-path property — see `_neighbor_indices`)
+        # spatial subset ever has to reproduce it, so the canonical
+        # tie-break (a prediction-path property — see `_neighbor_indices`)
         # would only add cost.
         x = self.features(sample, points, normalizer, canonical=False)
         y = self.targets(field, void, normalizer)

@@ -195,9 +195,12 @@ class ShardedCampaignGeometry:
         """Prove (per query) that shard-local kNN selection is global.
 
         For each owned void the shard-local kd-tree fetches the padded
-        candidate list (``k + TIE_BREAK_PAD``, the same list canonical
-        selection consumes).  The local selection provably equals the
-        global one when
+        candidate list (``k + TIE_BREAK_PAD``), the deepest list canonical
+        selection (:func:`repro.core.features.nearest_samples`) reads.
+        Most queries are resolved from their ``k + 1`` nearest, a prefix
+        of it; only queries tied at the ``k`` cut read the whole list.  So
+        the proof over the padded list covers both depths.  The local
+        selection provably equals the global one when
 
         * the padded list is full-size (the shard sees at least
           ``k + TIE_BREAK_PAD`` samples, or all global samples),

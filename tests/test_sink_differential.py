@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from repro.core import FCNNReconstructor, Normalizer
 from repro.grid import UniformGrid
@@ -79,6 +80,7 @@ K_ABOVE_SAMPLES = Case((4, 4, 3), (0, 17, 40), (2, 1, 1), 4, 5, 2)
 SINGLE_SAMPLE = Case((4, 3, 2), (7,), (1, 1, 1), 0, 5, 3)
 TIED_LATTICE = Case((6, 6, 4), tuple(range(0, 144, 2)), (2, 2, 1), 6, 5, 4)
 ONE_WIDE_AXIS = Case((8, 1, 5), (0, 3, 9, 14, 22, 27, 31, 38), (2, 1, 1), 8, 3, 5)
+STRIDE2_LATTICE = Case((10, 10, 7), tuple(range(0, 700, 2)), (2, 2, 1), 3, 5, 6)
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +206,22 @@ def test_multi_chunk_pool_matches_the_oracle(executor):
     pool = WarmReconstructionPool(executor=executor, num_chunks=3, slots=2)
     got = _drive(pool, geometry, base, steps)
     assert [v.tobytes() for v in got] == expected
+
+
+def test_requeried_lattice_matches_the_oracle_through_every_sink(executor):
+    """A stride-2 lattice: nearly every void ties at its k-th neighbor.
+
+    Those voids take ``nearest_samples``' padded re-query, on the global
+    tree in the unsharded sinks and on each shard's halo-subset tree in
+    the sharded ones; every sink must still reproduce the serial oracle.
+    """
+    case = STRIDE2_LATTICE
+    grid = UniformGrid(case.dims)
+    points = grid.points()
+    void = np.setdiff1d(np.arange(grid.num_points), case.indices)
+    dist, _ = cKDTree(points[list(case.indices)]).query(points[void], k=case.k + 1)
+    assert np.mean(dist[:, case.k - 1] == dist[:, case.k]) > 0.89
+    geometry = CampaignGeometry(grid, np.asarray(case.indices), 0.5)
+    plan = ShardPlan.create(grid, case.counts, case.halo)
+    assert ShardedCampaignGeometry(plan, geometry).seam_check(case.k).exact
+    _check(case, executor)
